@@ -240,7 +240,8 @@ func BenchmarkPipelinedRuntime(b *testing.B) {
 
 // BenchmarkPipelineSpeedup runs both runners on CompleteGraph(7,1) /
 // LenBytes=64 inside one benchmark and reports the pipelined-over-lockstep
-// instances/sec ratio — the PR's >= 2x acceptance metric.
+// instances/sec ratio. Both engines plan once per dispute generation, so
+// the ratio compares execution engines alone; it is reported, not gated.
 func BenchmarkPipelineSpeedup(b *testing.B) {
 	inputs := benchInputs(pipelineBatch, 64)
 	speedup := 0.0

@@ -56,7 +56,7 @@ func main() {
 	lockRes := run(nab.WithLockstep())
 
 	// Concurrent engine: per-node actors over an in-process message bus,
-	// 4 instances in flight, schemes and trees cached across instances.
+	// 4 instances in flight, one plan per dispute generation (as lockstep).
 	pipeRes := run(nab.WithWindow(4))
 
 	fmt.Printf("lockstep:  %d instances in %v (%.1f/s)\n",

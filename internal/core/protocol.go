@@ -123,6 +123,7 @@ type DisputeState struct {
 	gk          *graph.Directed
 	faultySoFar map[graph.NodeID]bool
 	gen         int
+	plan        *InstancePlan // generation gen's plan, memoised by Protocol.Plan
 }
 
 // NewDisputeState returns the instance-1 state: no disputes, G_1 = G.
@@ -131,21 +132,6 @@ func NewDisputeState(g *graph.Directed) *DisputeState {
 		disputes:    dispute.NewSet(),
 		gk:          g.Clone(),
 		faultySoFar: map[graph.NodeID]bool{},
-	}
-}
-
-// Clone snapshots the state; speculative executors plan instances on a
-// snapshot while the live state keeps folding.
-func (ds *DisputeState) Clone() *DisputeState {
-	faulty := make(map[graph.NodeID]bool, len(ds.faultySoFar))
-	for v, b := range ds.faultySoFar {
-		faulty[v] = b
-	}
-	return &DisputeState{
-		disputes:    ds.disputes.Clone(),
-		gk:          ds.gk.Clone(),
-		faultySoFar: faulty,
-		gen:         ds.gen,
 	}
 }
 
@@ -163,8 +149,8 @@ func (ds *DisputeState) Gen() int { return ds.gen }
 // instance on one dispute-state snapshot: instance parameters (gamma, rho,
 // symbol layout), the verified coding scheme, and the packed arborescences.
 // A plan is immutable and may be reused (and executed concurrently) for
-// every instance that runs on the same snapshot — this is the
-// coding-scheme/arborescence cache the pipelined runtime keys by Gen.
+// every instance that runs on the same snapshot: Protocol.Plan computes it
+// once per dispute generation for both engines.
 type InstancePlan struct {
 	p  *Protocol
 	gk *graph.Directed
@@ -182,6 +168,32 @@ type InstancePlan struct {
 	trees       []*spantree.Arborescence
 	schemeTries int
 	maxDepth    int
+}
+
+// Plan returns the plan of ds's current generation, which every instance
+// of that generation runs. The first call plans with coding matrices drawn
+// from a per-generation seed and memoises the result on ds until a Fold
+// changes the generation, so an engine that replays, restores or
+// re-executes an instance draws the same verified scheme. k is used in
+// error messages only. Callers must serialize Plan with Fold on ds.
+func (p *Protocol) Plan(ds *DisputeState, k int) (*InstancePlan, error) {
+	if ds.plan == nil {
+		pl, err := p.PlanInstance(ds, k, rand.New(rand.NewSource(planSeed(p.cfg.Seed, ds.gen))))
+		if err != nil {
+			return nil, err
+		}
+		ds.plan = pl
+	}
+	return ds.plan, nil
+}
+
+// planSeed derives a per-generation RNG seed (splitmix64 finalizer) from
+// the configured seed.
+func planSeed(seed int64, gen int) int64 {
+	z := uint64(seed) + uint64(gen+1)*0x9e3779b97f4a7c15
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return int64(z ^ (z >> 31))
 }
 
 // PlanInstance derives the plan for instance k on the given dispute-state
@@ -611,23 +623,9 @@ func (p *Protocol) Fold(ds *DisputeState, ir *InstanceResult) error {
 	if !ir.Phase3 {
 		return nil
 	}
-	progress := false
-	for _, pair := range ir.NewDisputes {
-		if !ds.disputes.Has(pair[0], pair[1]) {
-			progress = true
-		}
-		if err := ds.disputes.Add(pair[0], pair[1]); err != nil {
-			return err
-		}
-	}
-	for _, v := range ir.NewFaulty {
-		if !ds.faultySoFar[v] {
-			progress = true
-			ds.faultySoFar[v] = true
-		}
-		if err := ds.disputes.MarkFaulty(p.cfg.Graph, v); err != nil {
-			return err
-		}
+	progress, err := ds.merge(p.cfg.Graph, ir.NewDisputes, ir.NewFaulty)
+	if err != nil {
+		return err
 	}
 	if !progress {
 		return fmt.Errorf("core: instance %d: dispute control made no progress (bug: paper guarantees a new dispute or faulty node)", ir.K)
@@ -637,8 +635,37 @@ func (p *Protocol) Fold(ds *DisputeState, ir *InstanceResult) error {
 		return fmt.Errorf("core: instance %d: diminishing graph: %w", ir.K, err)
 	}
 	ds.gk = next
-	ds.gen++
 	return nil
+}
+
+// merge adds dispute pairs and proven-faulty nodes (of topology g) to ds
+// and reports progress: whether any of them was new. This is the
+// generation rule — a merge that makes progress starts a new generation,
+// which drops the memoised plan. G_k is left to the caller.
+func (ds *DisputeState) merge(g *graph.Directed, pairs [][2]graph.NodeID, nodes []graph.NodeID) (bool, error) {
+	progress := false
+	for _, pair := range pairs {
+		if !ds.disputes.Has(pair[0], pair[1]) {
+			progress = true
+		}
+		if err := ds.disputes.Add(pair[0], pair[1]); err != nil {
+			return false, err
+		}
+	}
+	for _, v := range nodes {
+		if !ds.faultySoFar[v] {
+			progress = true
+			ds.faultySoFar[v] = true
+		}
+		if err := ds.disputes.MarkFaulty(g, v); err != nil {
+			return false, err
+		}
+	}
+	if progress {
+		ds.gen++
+		ds.plan = nil
+	}
+	return progress, nil
 }
 
 // broadcastResult couples the per-node EIG states with the phase stats.

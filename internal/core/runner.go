@@ -13,7 +13,6 @@ package core
 
 import (
 	"fmt"
-	"math/rand"
 
 	"nab/internal/dispute"
 	"nab/internal/flight"
@@ -66,7 +65,7 @@ type InstanceResult struct {
 	// NewDisputes / NewFaulty are Phase 3 findings.
 	NewDisputes [][2]graph.NodeID
 	NewFaulty   []graph.NodeID
-	// SchemeTries counts coding-matrix draws used this instance.
+	// SchemeTries counts draws used to plan this instance's generation.
 	SchemeTries int
 	// Times per phase in the cut-through model (time units); the
 	// store-and-forward variant for Phase 1 enables pipelining analysis.
@@ -126,7 +125,6 @@ func (rr *RunResult) DisputePhases() int {
 type Runner struct {
 	proto *Protocol
 	ds    *DisputeState
-	rng   *rand.Rand
 	k     int
 }
 
@@ -136,11 +134,7 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Runner{
-		proto: proto,
-		ds:    NewDisputeState(cfg.Graph),
-		rng:   rand.New(rand.NewSource(cfg.Seed)),
-	}, nil
+	return &Runner{proto: proto, ds: NewDisputeState(cfg.Graph)}, nil
 }
 
 // Protocol returns the validated protocol this runner drives.
@@ -158,12 +152,9 @@ func (r *Runner) Disputes() *dispute.Set { return r.ds.Disputes() }
 // WAL crash-recovery. The history must come from an earlier run with an
 // identical Config; it may start with a synthetic checkpoint result
 // carrying the accumulated disputes (a compacted log), so Ks need not be
-// contiguous, only increasing and bounded by k.
-//
-// The coding-matrix RNG restarts from Seed rather than from its
-// pre-crash position; scheme draws are verified before use, so committed
-// outputs and dispute evolution are unaffected (the same tolerance the
-// pipelined engine's per-generation seeding already relies on).
+// contiguous, only increasing and bounded by k. Plans derive from the
+// generation the fold reaches, so a full history replans every later
+// instance exactly as the uninterrupted run did.
 func (r *Runner) Restore(k int, committed []*InstanceResult) error {
 	if r.k != 0 {
 		return fmt.Errorf("core: Restore on a runner that already executed %d instances", r.k)
@@ -229,14 +220,11 @@ func (r *Runner) Run(inputs [][]byte) (*RunResult, error) {
 // RunInstance executes the k-th NAB instance broadcasting input.
 func (r *Runner) RunInstance(input []byte) (*InstanceResult, error) {
 	r.k++
-	if len(input) != r.proto.cfg.LenBytes {
-		return nil, fmt.Errorf("core: instance %d: input is %d bytes, want %d", r.k, len(input), r.proto.cfg.LenBytes)
-	}
 	if flight.Enabled() {
 		flight.Record(flight.Event{Type: flight.EvLaunch, Node: -1,
 			Inst: uint64(r.k), K: int32(r.k), Gen: int32(r.ds.Gen())})
 	}
-	plan, err := r.proto.PlanInstance(r.ds, r.k, r.rng)
+	plan, err := r.proto.Plan(r.ds, r.k)
 	if err != nil {
 		return nil, err
 	}

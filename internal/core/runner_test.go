@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"nab/internal/adversary"
@@ -674,3 +675,76 @@ func (suppressingFlipper) CorruptBlock(_ int, _ graph.NodeID, block core.BitChun
 }
 
 func (suppressingFlipper) OverrideFlag(bool) bool { return false }
+
+// TestRestoreReplansExactly: a runner recovered mid-stream — by
+// replaying the committed history or from a snapshot — plans every later
+// instance exactly as the uninterrupted run did. One-byte inputs code
+// over GF(2^2), where scheme draws often fail verification, so a
+// recovered runner that drew differently would show in SchemeTries.
+func TestRestoreReplansExactly(t *testing.T) {
+	const q = 12
+	inputs := make([][]byte, q)
+	for i := range inputs {
+		inputs[i] = []byte{byte(i*37 + 5)}
+	}
+	for _, sc := range []struct {
+		name string
+		advs map[graph.NodeID]core.Adversary
+	}{
+		{"Honest", nil},
+		{"FalseAlarm", map[graph.NodeID]core.Adversary{3: adversary.FalseAlarm{}}},
+	} {
+		cfg := core.Config{Graph: topo.CompleteBi(7, 1), Source: 1, F: 2, LenBytes: 1, Seed: 7, Adversaries: sc.advs}
+		newRunner := func(t *testing.T) *core.Runner {
+			r, err := core.NewRunner(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}
+		want, err := newRunner(t).Run(inputs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check := func(t *testing.T, r *core.Runner, from int) {
+			t.Helper()
+			got, err := r.Run(inputs[from:])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, g := range got.Instances {
+				w := want.Instances[from+i]
+				if g.K != w.K || g.SchemeTries != w.SchemeTries {
+					t.Errorf("instance %d: K %d, %d scheme tries; uninterrupted run: K %d, %d tries", w.K, g.K, g.SchemeTries, w.K, w.SchemeTries)
+				}
+				for v, out := range w.Outputs {
+					if !bytes.Equal(g.Outputs[v], out) {
+						t.Errorf("instance %d: node %d output %x, want %x", w.K, v, g.Outputs[v], out)
+					}
+				}
+			}
+		}
+		for _, m := range []int{2, 4, 7} {
+			t.Run(fmt.Sprintf("%s/Restore@%d", sc.name, m), func(t *testing.T) {
+				r := newRunner(t)
+				if err := r.Restore(m, want.Instances[:m]); err != nil {
+					t.Fatal(err)
+				}
+				check(t, r, m)
+			})
+			t.Run(fmt.Sprintf("%s/RestoreSnapshot@%d", sc.name, m), func(t *testing.T) {
+				b := core.NewSnapshotBuilder(cfg.Graph)
+				for _, ir := range want.Instances[:m] {
+					if err := b.Fold(ir); err != nil {
+						t.Fatal(err)
+					}
+				}
+				r := newRunner(t)
+				if err := r.RestoreSnapshot(b.State(), nil); err != nil {
+					t.Fatal(err)
+				}
+				check(t, r, m)
+			})
+		}
+	}
+}

@@ -72,6 +72,10 @@ const (
 	EvJoinRound
 	// EvAnomaly: an anomaly trigger fired. Arg is a Reason* code.
 	EvAnomaly
+	// EvFrameDrop: an inbound frame was discarded before any instance
+	// execution consumed it. Node, Peer, Inst and Step are as for
+	// EvFrameRecv; Arg is a Drop* code.
+	EvFrameDrop
 )
 
 // String names the event type for tools and tests.
@@ -105,6 +109,8 @@ func (t EventType) String() string {
 		return "join-round"
 	case EvAnomaly:
 		return "anomaly"
+	case EvFrameDrop:
+		return "frame-drop"
 	}
 	return "none"
 }
@@ -190,6 +196,25 @@ func ReasonName(code uint64) string {
 		return "predicate"
 	}
 	return "anomaly"
+}
+
+// Drop codes carried in Event.Arg by EvFrameDrop events: the runtime
+// demultiplexer's drop paths.
+const (
+	DropStaleLaunch  uint64 = iota // launch already committed or aborted
+	DropBeyondSlack                // launch too far ahead to buffer
+	DropRestoreFlush               // buffered when a restore renumbered launches
+)
+
+var dropNames = [...]string{"stale_launch", "beyond_slack", "restore_flush"}
+
+// DropName names a Drop* code; it doubles as the runtime's
+// frames-dropped metric label.
+func DropName(code uint64) string {
+	if code < uint64(len(dropNames)) {
+		return dropNames[code]
+	}
+	return "drop?"
 }
 
 // Event is one recorded fact. The struct is fixed-size and pointer-free

@@ -14,15 +14,15 @@
 // snapshot. Clean instances — the common case the paper's throughput
 // analysis amortizes toward — never wait.
 //
-// Across instances of one dispute generation the expensive per-instance
+// Both engines get their plans from core.Protocol.Plan: the expensive
 // precomputation (verified coding scheme, packed arborescences) is planned
-// once and cached, which the lockstep Runner recomputes every instance.
+// once per dispute generation, so the runtime and the lockstep Runner run
+// identical coding schemes.
 package runtime
 
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -112,16 +112,17 @@ type Runtime struct {
 	// for launches at or below maxLaunch belong to completed or aborted
 	// executions and are dropped; so are frames claiming a launch further
 	// ahead than any honest peer can run (see pendingSlack), which bounds
-	// the buffer against a peer streaming garbage launch numbers.
+	// the buffer against a peer streaming garbage launch numbers. Every
+	// drop is counted and recorded (see drop).
 	pending   map[uint64][]*transport.Message
 	maxLaunch uint64
 
-	// Scheduler state: ds is mutated only inside Run (folds are
-	// serialized); runMu admits one Run at a time.
+	// Scheduler state: ds (and the plan memoised on it) is touched only
+	// by the scheduler goroutine inside RunStream and by Restore; runMu
+	// admits one of them at a time.
 	runMu      sync.Mutex
 	ds         *core.DisputeState
 	k          int
-	entries    map[int]*planEntry // per-generation plan cache
 	nextLaunch uint64
 
 	closeOnce sync.Once
@@ -193,7 +194,6 @@ func New(cfg Config) (*Runtime, error) {
 		engines: map[uint64]*instanceEngine{},
 		pending: map[uint64][]*transport.Message{},
 		ds:      core.NewDisputeState(cfg.Graph),
-		entries: map[int]*planEntry{},
 	}
 	for _, v := range cfg.Graph.Nodes() {
 		if locals == nil || locals[v] {
@@ -239,10 +239,10 @@ func (rt *Runtime) Committed() int {
 // Restore rewrites the scheduler state between streams: the dispute
 // state is rebuilt from scratch by folding the committed history (from a
 // WAL replay, or the in-memory history of a cluster rollback), the next
-// instance becomes k+1, the per-generation plan cache is dropped, and
-// launch numbering restarts at launchBase+1. The history's Ks must be
-// increasing and bounded by k; a compacted log's synthetic checkpoint
-// result (carrying the accumulated disputes) is a valid first entry.
+// instance becomes k+1, and launch numbering restarts at launchBase+1.
+// The history's Ks must be increasing and bounded by k; a compacted log's
+// synthetic checkpoint result (carrying the accumulated disputes) is a
+// valid first entry.
 //
 // launchBase exists for the cluster rejoin protocol: after a crash
 // + restart every process Restores onto an agreed fresh launch epoch
@@ -271,26 +271,14 @@ func (rt *Runtime) Restore(launchBase uint64, k int, committed []*core.InstanceR
 		}
 		prev = ir.K
 	}
-	rt.engMu.Lock()
-	defer rt.engMu.Unlock()
-	if len(rt.engines) != 0 {
-		return fmt.Errorf("runtime: Restore with %d executions in flight", len(rt.engines))
-	}
-	rt.ds = ds
-	rt.k = k
-	rt.entries = map[int]*planEntry{}
-	rt.nextLaunch = launchBase
-	rt.maxLaunch = launchBase
-	rt.pending = map[uint64][]*transport.Message{}
-	return nil
+	return rt.install("Restore", launchBase, ds, k)
 }
 
 // RestoreSnapshot is Restore with a snapshot base instead of a full
 // committed history: the dispute state — generation included, which
-// keys the plan cache and the per-generation scheme RNG — is rebuilt
-// directly from snap, then the tail results (snap.K+1 onward, in order)
-// are folded, and the runtime resumes after the tail with no
-// per-instance replay below the snapshot. The same no-stream/no-flight
+// seeds the generation's plan — is rebuilt directly from snap, then the
+// tail results (snap.K+1 onward, in order) are folded, and the runtime
+// resumes after the tail with no per-instance replay below the snapshot. The same no-stream/no-flight
 // preconditions as Restore apply.
 func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, tail []*core.InstanceResult) error {
 	rt.runMu.Lock()
@@ -312,16 +300,27 @@ func (rt *Runtime) RestoreSnapshot(launchBase uint64, snap core.SnapshotState, t
 		}
 		k = ir.K
 	}
+	return rt.install("RestoreSnapshot", launchBase, ds, k)
+}
+
+// install swaps a restored dispute state in and restarts launch
+// numbering at launchBase+1. Buffered frames belong to the old launch
+// numbering and are dropped.
+func (rt *Runtime) install(op string, launchBase uint64, ds *core.DisputeState, k int) error {
 	rt.engMu.Lock()
 	defer rt.engMu.Unlock()
 	if len(rt.engines) != 0 {
-		return fmt.Errorf("runtime: RestoreSnapshot with %d executions in flight", len(rt.engines))
+		return fmt.Errorf("runtime: %s with %d executions in flight", op, len(rt.engines))
 	}
 	rt.ds = ds
 	rt.k = k
-	rt.entries = map[int]*planEntry{}
 	rt.nextLaunch = launchBase
 	rt.maxLaunch = launchBase
+	for _, ms := range rt.pending {
+		for _, m := range ms {
+			drop(m, fr.DropRestoreFlush)
+		}
+	}
 	rt.pending = map[uint64][]*transport.Message{}
 	return nil
 }
@@ -340,7 +339,7 @@ func (rt *Runtime) pendingSlack() uint64 {
 // engines. Frames for past launches (aborted or committed speculation)
 // are dropped; frames for launches this process has not started yet —
 // possible only across processes, where peers run ahead — are buffered
-// until the flight registers, within pendingSlack.
+// until the flight registers, within pendingSlack, and dropped beyond it.
 func (rt *Runtime) recvLoop(v graph.NodeID) {
 	for {
 		m, err := rt.tr.Recv(v)
@@ -362,14 +361,32 @@ func (rt *Runtime) recvLoop(v graph.NodeID) {
 			continue
 		}
 		rt.engMu.Lock()
-		if eng, ok = rt.engines[m.Instance]; !ok &&
-			m.Instance > rt.maxLaunch && m.Instance <= rt.maxLaunch+rt.pendingSlack() {
+		eng, ok = rt.engines[m.Instance]
+		switch {
+		case ok:
+		case m.Instance <= rt.maxLaunch:
+			drop(m, fr.DropStaleLaunch)
+		case m.Instance > rt.maxLaunch+rt.pendingSlack():
+			drop(m, fr.DropBeyondSlack)
+		default:
 			rt.pending[m.Instance] = append(rt.pending[m.Instance], m)
 		}
 		rt.engMu.Unlock()
 		if ok {
 			eng.deliver(m)
 		}
+	}
+}
+
+// drop discards an inbound frame no execution will consume, counting it
+// by reason (a flight.Drop* code) and recording it for the trace.
+func drop(m *transport.Message, reason uint64) {
+	mFramesDropped[reason].Inc()
+	if fr.Enabled() {
+		fr.Record(fr.Event{
+			Type: fr.EvFrameDrop, Node: int32(m.To), Peer: int32(m.From),
+			Inst: m.Instance, Step: m.Step, Arg: reason,
+		})
 	}
 }
 
@@ -429,35 +446,6 @@ func (rt *Runtime) unregister(eng *instanceEngine) {
 	rt.engMu.Unlock()
 }
 
-// planEntry caches one dispute generation's InstancePlan — the verified
-// coding scheme and packed arborescences are computed once per generation
-// and shared by every instance (and re-execution) running on it.
-type planEntry struct {
-	gen  int
-	snap *core.DisputeState
-	once sync.Once
-	plan *core.InstancePlan
-	err  error
-}
-
-func (rt *Runtime) resolve(e *planEntry, k int) (*core.InstancePlan, error) {
-	e.once.Do(func() {
-		rng := rand.New(rand.NewSource(planSeed(rt.cfg.Seed, e.gen)))
-		e.plan, e.err = rt.proto.PlanInstance(e.snap, k, rng)
-	})
-	return e.plan, e.err
-}
-
-// planSeed derives a per-generation RNG seed (splitmix64 finalizer), so a
-// re-executed instance draws the same verified scheme regardless of which
-// launch planned it first.
-func planSeed(seed int64, gen int) int64 {
-	z := uint64(seed) + uint64(gen+1)*0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
 // flight is one speculative instance execution.
 type flight struct {
 	k       int
@@ -467,7 +455,6 @@ type flight struct {
 	done    chan struct{}
 	ir      *core.InstanceResult
 	err     error
-	plans   *planEntry
 	started time.Time
 }
 
@@ -548,15 +535,6 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		Window:    rt.cfg.Window,
 	}
 
-	entryFor := func(gen int) *planEntry {
-		e, ok := rt.entries[gen]
-		if !ok {
-			e = &planEntry{gen: gen, snap: rt.ds.Clone()}
-			rt.entries[gen] = e
-		}
-		return e
-	}
-
 	// inputs retains every pulled-but-uncommitted submission keyed by its
 	// instance number: a dispute barrier aborts speculative executions,
 	// which relaunch later from this map on the fresh snapshot.
@@ -569,7 +547,6 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 			gen:     rt.ds.Gen(),
 			eng:     newInstanceEngine(rt.nextLaunch, rt.cfg.Graph, rt.sendFrame, rt.locals),
 			done:    make(chan struct{}),
-			plans:   entryFor(rt.ds.Gen()),
 			started: time.Now(),
 		}
 		mInflight.Inc()
@@ -589,9 +566,12 @@ func (rt *Runtime) RunStream(ctx context.Context, subs <-chan []byte, commit fun
 		inflight[k] = f
 		rt.register(f.eng)
 		in := inputs[k] // read under the scheduler, not in the goroutine
+		// Plan on the scheduler, the only goroutine touching rt.ds. A
+		// barrier reaps every flight after a generation bump, so only a
+		// generation's first launch pays for planning.
+		plan, err := rt.proto.Plan(rt.ds, k)
 		go func() {
 			defer close(f.done)
-			plan, err := rt.resolve(f.plans, f.k)
 			if err != nil {
 				f.err = err
 				return

@@ -81,11 +81,12 @@ func scenarios(victim graph.NodeID) []scenario {
 }
 
 type topology struct {
-	name   string
-	g      *graph.Directed
-	source graph.NodeID
-	f      int
-	victim graph.NodeID
+	name     string
+	g        *graph.Directed
+	source   graph.NodeID
+	f        int
+	victim   graph.NodeID
+	lenBytes int // 0 = 24
 }
 
 func topologies(t *testing.T) []topology {
@@ -101,15 +102,24 @@ func topologies(t *testing.T) []topology {
 		{name: "K7", g: topo.CompleteBi(7, 2), source: 1, f: 2, victim: 3},
 		{name: "Circulant9", g: circ, source: 1, f: 1, victim: 4},
 		{name: "OneThinLink7", g: thin, source: 1, f: 1, victim: 2},
+		// One-byte inputs code over GF(2^2), where a scheme draw often
+		// fails verification: the engines plan alike only if they draw
+		// their coding matrices alike.
+		{name: "K7TinyField", g: topo.CompleteBi(7, 1), source: 1, f: 2, victim: 3, lenBytes: 1},
 	}
 }
 
 // TestOutputsMatchLockstep is the runtime's core acceptance: for every
 // adversary scenario on every topology, the pipelined runtime's committed
-// outputs (and dispute evolution) byte-match the lockstep core.Runner.
+// outputs, plans, bit charges and dispute evolution byte-match the
+// lockstep core.Runner.
 func TestOutputsMatchLockstep(t *testing.T) {
-	const q, lenBytes = 5, 24
+	const q = 5
 	for _, tp := range topologies(t) {
+		lenBytes := tp.lenBytes
+		if lenBytes == 0 {
+			lenBytes = 24
+		}
 		for _, sc := range scenarios(tp.victim) {
 			t.Run(fmt.Sprintf("%s/%s", tp.name, sc.name), func(t *testing.T) {
 				inputs := mkInputs(q, lenBytes)
@@ -162,9 +172,17 @@ func TestOutputsMatchLockstep(t *testing.T) {
 					if !reflect.DeepEqual(g.NewFaulty, w.NewFaulty) {
 						t.Errorf("instance %d: faulty %v, want %v", i+1, g.NewFaulty, w.NewFaulty)
 					}
-					if g.Phase1Time != w.Phase1Time || g.EqualityTime != w.EqualityTime || g.FlagTime != w.FlagTime {
-						t.Errorf("instance %d: phase times (%v,%v,%v), want (%v,%v,%v)",
-							i+1, g.Phase1Time, g.EqualityTime, g.FlagTime, w.Phase1Time, w.EqualityTime, w.FlagTime)
+					if g.Phase1Time != w.Phase1Time || g.EqualityTime != w.EqualityTime || g.FlagTime != w.FlagTime || g.DisputeTime != w.DisputeTime {
+						t.Errorf("instance %d: phase times (%v,%v,%v,%v), want (%v,%v,%v,%v)",
+							i+1, g.Phase1Time, g.EqualityTime, g.FlagTime, g.DisputeTime, w.Phase1Time, w.EqualityTime, w.FlagTime, w.DisputeTime)
+					}
+					// Same plan: parameters, symbol layout and scheme draws.
+					if g.SchemeTries != w.SchemeTries || g.Gamma != w.Gamma || g.Rho != w.Rho || g.SymBits != w.SymBits || g.Stripes != w.Stripes {
+						t.Errorf("instance %d: plan (tries %d, gamma %d, rho %d, symbits %d, stripes %d), want (%d, %d, %d, %d, %d)",
+							i+1, g.SchemeTries, g.Gamma, g.Rho, g.SymBits, g.Stripes, w.SchemeTries, w.Gamma, w.Rho, w.SymBits, w.Stripes)
+					}
+					if g.TotalBits != w.TotalBits {
+						t.Errorf("instance %d: %d bits, want %d", i+1, g.TotalBits, w.TotalBits)
 					}
 				}
 				// Dispute state must have evolved identically.

@@ -4,11 +4,12 @@
 // charged b/z_e time units.
 //
 // Node behaviour is supplied as Process implementations; each round every
-// process runs in its own goroutine, consumes the messages delivered to it
-// and emits messages for the next round. Byzantine nodes are ordinary
-// Process implementations that happen to lie — the engine enforces only
-// physics: a node can send solely on its own outgoing links in the current
-// topology, and every transmitted bit is charged to the link.
+// process, in node order on the caller's goroutine, consumes the messages
+// delivered to it and emits messages for the next round. Byzantine nodes
+// are ordinary Process implementations that happen to lie — the engine
+// enforces only physics: a node can send solely on its own outgoing links
+// in the current topology, and every transmitted bit is charged to the
+// link.
 //
 // Two time accountings are exposed per phase, matching the paper's two
 // regimes:
@@ -21,8 +22,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"nab/internal/graph"
@@ -41,8 +43,9 @@ type Message struct {
 // Process is per-node behaviour. Step is called once per round with the
 // messages delivered this round (sorted by sender) and returns the messages
 // to be delivered next round. Step must be safe to run concurrently with
-// other nodes' Step calls (it is invoked from its own goroutine) but is
-// never invoked concurrently with itself.
+// other nodes' Step calls (message-driven engines such as
+// internal/runtime's invoke each node from its own goroutine) but is never
+// invoked concurrently with itself.
 type Process interface {
 	Step(round int, inbox []Message) []Message
 }
@@ -184,19 +187,15 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 	for round := 0; round < rounds; round++ {
 		inboxes := e.routePending()
 
+		// Nodes step one after another: a round's steps are independent,
+		// and a goroutine per node per round costs more in scheduling than
+		// the steps themselves.
 		outs := make([][]Message, len(nodes))
-		var wg sync.WaitGroup
 		for i, v := range nodes {
-			wg.Add(1)
-			go func(i int, v graph.NodeID) {
-				defer wg.Done()
-				outs[i] = e.procs[v].Step(round, inboxes[v])
-			}(i, v)
+			outs[i] = e.procs[v].Step(round, inboxes[v])
 		}
-		wg.Wait()
 
 		var roundBits = map[[2]graph.NodeID]int64{}
-		e.pending = e.pending[:0]
 		for i, v := range nodes {
 			for _, m := range outs[i] {
 				if m.From != v {
@@ -234,19 +233,22 @@ func (e *Engine) RunPhase(name string, rounds int) (*PhaseStats, error) {
 }
 
 // routePending distributes queued messages into per-recipient inboxes with
-// deterministic ordering (by sender, then destination, then queue order).
+// deterministic ordering (by sender, then queue order). The inboxes are
+// capped windows of the sorted queue, which the engine hands over and does
+// not reuse.
 func (e *Engine) routePending() map[graph.NodeID][]Message {
-	inboxes := map[graph.NodeID][]Message{}
-	msgs := append([]Message(nil), e.pending...)
-	sort.SliceStable(msgs, func(i, j int) bool {
-		if msgs[i].From != msgs[j].From {
-			return msgs[i].From < msgs[j].From
-		}
-		return msgs[i].To < msgs[j].To
+	msgs := e.pending
+	e.pending = make([]Message, 0, len(msgs))
+	slices.SortStableFunc(msgs, func(a, b Message) int {
+		return cmp.Or(cmp.Compare(a.To, b.To), cmp.Compare(a.From, b.From))
 	})
-	for _, m := range msgs {
-		inboxes[m.To] = append(inboxes[m.To], m)
+	inboxes := map[graph.NodeID][]Message{}
+	for len(msgs) > 0 {
+		n := 1
+		for n < len(msgs) && msgs[n].To == msgs[0].To {
+			n++
+		}
+		inboxes[msgs[0].To], msgs = msgs[:n:n], msgs[n:]
 	}
-	e.pending = e.pending[:0]
 	return inboxes
 }

@@ -75,8 +75,8 @@ type Submit struct {
 // pairs (MarkFaulty expansions included) and proven-faulty nodes as of
 // committed instance K. Folding it as a synthetic instance result
 // reproduces the engine's dispute state; the generation counter is
-// recomputed by the fold rather than stored (plan-cache seeds tolerate
-// the difference — schemes are verified before use).
+// recomputed by the fold rather than stored, so later plans may draw other
+// (equally verified) coding schemes than the original run did.
 type Checkpoint struct {
 	K        int
 	Disputes [][2]graph.NodeID

@@ -34,7 +34,7 @@ type Snapshot struct {
 	// single-process sessions, which never roll back).
 	Epoch uint64
 	// Gen is the dispute-graph generation at K — the number of
-	// Phase 3 folds that made progress. Plan-cache seeds derive from it,
+	// Phase 3 folds that made progress. Plan seeds derive from it,
 	// so restoring it exactly keeps coding schemes byte-identical across
 	// processes that restored from different bases.
 	Gen int

@@ -358,6 +358,9 @@ func (tl *timeline) emitProcess(p *process, us func(int64) float64, sends, recvs
 		case flight.EvAnomaly:
 			st.anomalies++
 			instant("anomaly: "+flight.ReasonName(ev.Arg), ev.TS, laneCtrl, nil)
+		case flight.EvFrameDrop:
+			instant("frame-drop: "+flight.DropName(ev.Arg), ev.TS, laneOrphan,
+				map[string]any{"from": ev.Peer, "to": ev.Node, "inst": ev.Inst, "step": ev.Step})
 		case flight.EvFrameSend, flight.EvFrameRecv:
 			var key frameKey
 			if ev.Type == flight.EvFrameSend {
